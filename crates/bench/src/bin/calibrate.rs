@@ -3,7 +3,8 @@
 //! Prints, per suite matrix: dimension, A/L nonzeros, supernode counts,
 //! factor flops, the largest update matrix and RL's device footprint —
 //! the numbers used to pick the scaled thresholds and device capacity in
-//! `rlchol_matgen::suite::SuiteConfig` (documented in EXPERIMENTS.md).
+//! `rlchol_matgen::suite::SuiteConfig`, whose field docs give the
+//! rationale.
 
 use rlchol_bench::{count_offloaded, cpu_baseline, prepare};
 use rlchol_matgen::paper_suite;

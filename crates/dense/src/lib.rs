@@ -22,8 +22,28 @@
 //!
 //! The GEMM path packs operands into contiguous panels (reused
 //! thread-local buffers — the hot loop allocates nothing) and runs a
-//! register-blocked micro-kernel; POTRF/TRSM/SYRK are blocked on top of it
-//! (right-looking, as in LAPACK).
+//! register-blocked micro-kernel; products too small to repay packing run
+//! the same micro-kernel on the operands in place. SYRK is that GEMM
+//! restricted to the lower triangle, and POTRF/TRSM are blocked on top of
+//! both (right-looking, as in LAPACK).
+//!
+//! ## Instruction sets
+//!
+//! The micro-kernel and the unblocked POTRF/TRSM loops are selected once
+//! per process from CPUID, with no option or variable to set: on x86-64
+//! CPUs with AVX2 and FMA they run an 8 x 6 register tile of
+//! `_mm256_fmadd_pd` and fused `mul_add` loops; everywhere else they run
+//! the portable 8 x 4 multiply-then-add tile and separate multiplies and
+//! adds, which give slightly different last bits.
+//!
+//! Within a process every entry of a GEMM/SYRK result gets the same
+//! arithmetic wherever it lies in a tile, column stripe or cache block
+//! (see the [`gemm`] module docs), and TRSM rows are solved independently
+//! of each other. So a column stripe or row block computed by a call of
+//! its own is bit-identical to the same entries of the whole call: the
+//! [`par`] wrappers, the supernodal engines' per-block updates and the
+//! simulated device all reproduce the serial factor bit for bit. The
+//! solve-phase kernels (`trsm_lln`, `trsm_llt`, `trsv_*`) do not dispatch.
 //!
 //! ## Parallelism
 //!
@@ -40,6 +60,7 @@
 
 pub mod flops;
 pub mod gemm;
+mod kernel;
 pub mod mat;
 pub mod par;
 pub mod pool;

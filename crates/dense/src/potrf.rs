@@ -6,6 +6,7 @@
 //! supernodal algorithms replay at the supernode level.
 
 use crate::gemm::gemm_nt;
+use crate::kernel::{dispatch, Kernel};
 use crate::pool;
 use crate::syrk::syrk_ln;
 use crate::trsm::trsm_rlt;
@@ -179,14 +180,20 @@ fn potrf_with(
     Ok(())
 }
 
-/// Unblocked Cholesky on a `n x n` block (`n <= NB` in practice).
+/// Unblocked Cholesky on a `n x n` block (`n <= NB` in practice), with
+/// the selected kernel's multiply-add.
 fn potf2(n: usize, a: &mut [f64], lda: usize) -> Result<(), PotrfError> {
+    dispatch!(potf2_with(n: usize, a: &mut [f64], lda: usize) -> Result<(), PotrfError>)
+}
+
+#[inline(always)]
+fn potf2_with<K: Kernel>(n: usize, a: &mut [f64], lda: usize) -> Result<(), PotrfError> {
     for j in 0..n {
         // d = A[j,j] - sum_{p<j} L[j,p]^2
         let mut d = a[j * lda + j];
         for p in 0..j {
             let l = a[p * lda + j];
-            d -= l * l;
+            d = K::madd(-l, l, d);
         }
         if d <= 0.0 || !d.is_finite() {
             return Err(PotrfError { pivot: j });
@@ -202,7 +209,7 @@ fn potf2(n: usize, a: &mut [f64], lda: usize) -> Result<(), PotrfError> {
                 if ljp != 0.0 {
                     let lp = &head[p * lda + j + 1..p * lda + n];
                     for (c, &v) in col.iter_mut().zip(lp) {
-                        *c -= ljp * v;
+                        *c = K::madd(-ljp, v, *c);
                     }
                 }
             }

@@ -4,13 +4,14 @@
 //! This is the single call RL uses to form a supernode's entire update
 //! matrix, and the per-block call RLB uses on ancestor diagonal blocks.
 
-use crate::gemm::gemm_nt;
-use crate::NB;
+use crate::gemm::gemm_lower;
 
 /// `C := alpha * A Aᵀ + beta * C` on the lower triangle.
 ///
 /// `A` is `n x k`, `C` is `n x n`; only entries with `i >= j` are read or
-/// written.
+/// written. Each entry gets exactly the arithmetic [`crate::gemm_nt`]
+/// gives it (see the [`crate::gemm`] module docs), so any split of the
+/// triangle into diagonal blocks and rectangles reproduces it bitwise.
 pub fn syrk_ln(
     n: usize,
     k: usize,
@@ -26,77 +27,19 @@ pub fn syrk_ln(
     }
     debug_assert!(lda >= n, "lda {lda} < n {n}");
     debug_assert!(ldc >= n, "ldc {ldc} < n {n}");
-    let mut j0 = 0;
-    while j0 < n {
-        let jb = NB.min(n - j0);
-        // Diagonal block: small triangular kernel.
-        syrk_diag_block(j0, jb, k, alpha, a, lda, beta, c, ldc);
-        // Sub-diagonal rectangle: plain GEMM with Bᵀ = A[J, :]ᵀ.
-        let below = n - j0 - jb;
-        if below > 0 {
-            // C[j0+jb.., J] = alpha * A[j0+jb.., :] * A[J, :]ᵀ + beta * C
-            let cj = j0 * ldc + j0 + jb;
-            gemm_nt(
-                below,
-                jb,
-                k,
-                alpha,
-                &a[j0 + jb..],
-                lda,
-                &a[j0..],
-                lda,
-                beta,
-                &mut c[cj..],
-                ldc,
-            );
-        }
-        j0 += jb;
-    }
-}
-
-/// Updates the `jb x jb` lower-triangular block of `C` at `(j0, j0)`.
-fn syrk_diag_block(
-    j0: usize,
-    jb: usize,
-    k: usize,
-    alpha: f64,
-    a: &[f64],
-    lda: usize,
-    beta: f64,
-    c: &mut [f64],
-    ldc: usize,
-) {
-    // Scale the triangle by beta first.
-    for j in 0..jb {
-        let base = (j0 + j) * ldc + j0 + j;
-        let col = &mut c[base..base + jb - j];
-        if beta == 0.0 {
-            col.fill(0.0);
-        } else if beta != 1.0 {
-            for v in col {
-                *v *= beta;
+    if beta != 1.0 {
+        for j in 0..n {
+            let col = &mut c[j * ldc + j..j * ldc + n];
+            if beta == 0.0 {
+                col.fill(0.0);
+            } else {
+                for v in col {
+                    *v *= beta;
+                }
             }
         }
     }
-    if alpha == 0.0 || k == 0 {
-        return;
-    }
-    // Rank-1 accumulation over the k dimension; columns of A are
-    // contiguous so the inner loop vectorizes.
-    for p in 0..k {
-        let ap = &a[p * lda + j0..p * lda + j0 + jb];
-        for j in 0..jb {
-            let s = alpha * ap[j];
-            if s == 0.0 {
-                continue;
-            }
-            let base = (j0 + j) * ldc + j0 + j;
-            let col = &mut c[base..base + jb - j];
-            for (ci, &av) in col.iter_mut().zip(&ap[j..]) {
-                *ci += s * av;
-            }
-        }
-    }
+    gemm_lower(n, k, alpha, a, lda, c, ldc);
 }
 
 #[cfg(test)]

@@ -9,6 +9,7 @@
 //! * [`trsm_llt`] — `Lᵀ X = B` (left, lower, transposed): backward solve.
 
 use crate::gemm::gemm_nt;
+use crate::kernel::{dispatch, Kernel};
 use crate::par::par_gemm_nt;
 use crate::NB;
 
@@ -76,7 +77,8 @@ pub(crate) fn trsm_rlt_with(
     }
 }
 
-/// Unblocked `X Lᵀ = B`; `l` points at the diagonal block.
+/// Unblocked `X Lᵀ = B`; `l` points at the diagonal block. Runs with
+/// the selected kernel's multiply-add.
 pub(crate) fn trsm_rlt_unblocked(
     m: usize,
     n: usize,
@@ -85,22 +87,75 @@ pub(crate) fn trsm_rlt_unblocked(
     b: &mut [f64],
     ldb: usize,
 ) {
+    dispatch!(trsm_rlt_unblocked_with(
+        m: usize,
+        n: usize,
+        l: &[f64],
+        ldl: usize,
+        b: &mut [f64],
+        ldb: usize,
+    ))
+}
+
+/// Rows solved together by [`trsm_rlt_unblocked_with`]: each column's
+/// partial sums for a block of this many rows stay in registers.
+const SOLVE_ROWS: usize = 32;
+
+#[inline(always)]
+fn trsm_rlt_unblocked_with<K: Kernel>(
+    m: usize,
+    n: usize,
+    l: &[f64],
+    ldl: usize,
+    b: &mut [f64],
+    ldb: usize,
+) {
+    // Row blocks of SOLVE_ROWS, then 8, then single rows: the same
+    // arithmetic per entry.
+    let mut r0 = 0;
+    while r0 + SOLVE_ROWS <= m {
+        solve_rows::<K, SOLVE_ROWS>(r0, n, l, ldl, b, ldb);
+        r0 += SOLVE_ROWS;
+    }
+    while r0 + 8 <= m {
+        solve_rows::<K, 8>(r0, n, l, ldl, b, ldb);
+        r0 += 8;
+    }
+    for r0 in r0..m {
+        solve_rows::<K, 1>(r0, n, l, ldl, b, ldb);
+    }
+}
+
+/// Solves rows `r0..r0 + R` of `X Lᵀ = B`: for each column `j`,
+/// `x_j = (b_j - Σ_{i<j} L[j, i] x_i) / L[j, j]` with the terms taken in
+/// ascending `i` and zero `L[j, i]` skipped.
+#[inline(always)]
+fn solve_rows<K: Kernel, const R: usize>(
+    r0: usize,
+    n: usize,
+    l: &[f64],
+    ldl: usize,
+    b: &mut [f64],
+    ldb: usize,
+) {
     for j in 0..n {
-        // x_j = (b_j - sum_{i<j} x_i * L[j, i]) / L[j, j]
         let (done, cur) = b.split_at_mut(j * ldb);
-        let xj = &mut cur[..m];
+        let xj = cur[r0..].first_chunk_mut::<R>().expect("rows lie in B");
+        let mut acc = *xj;
         for i in 0..j {
             let lji = l[i * ldl + j];
             if lji != 0.0 {
-                let xi = &done[i * ldb..i * ldb + m];
-                for (x, &y) in xj.iter_mut().zip(xi) {
-                    *x -= lji * y;
+                let xi = done[i * ldb + r0..]
+                    .first_chunk::<R>()
+                    .expect("rows lie in B");
+                for r in 0..R {
+                    acc[r] = K::madd(-lji, xi[r], acc[r]);
                 }
             }
         }
         let d = 1.0 / l[j * ldl + j];
-        for x in xj.iter_mut() {
-            *x *= d;
+        for r in 0..R {
+            xj[r] = acc[r] * d;
         }
     }
 }

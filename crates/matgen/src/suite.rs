@@ -132,7 +132,7 @@ pub struct SuiteConfig {
     /// problem scale: the suite is ~1/24 of the paper's linear size, so
     /// per-supernode arithmetic intensity is ~24x lower; dividing CPU and
     /// GPU compute rates by the same factor (PCIe terms fixed) restores
-    /// the paper's compute-to-transfer balance. See EXPERIMENTS.md.
+    /// the paper's compute-to-transfer balance.
     pub machine_scale: f64,
 }
 
@@ -147,7 +147,7 @@ impl Default for SuiteConfig {
             // floor on supernodes RL can still profitably offload.
             rl_threshold: 12_000,
             rlb_threshold: 45_000,
-            // Calibrated against the suite (see EXPERIMENTS.md): above
+            // Calibrated against the suite (the `calibrate` bench bin): above
             // every matrix's RL device footprint except the nlpkkt120
             // analogue.
             gpu_capacity_bytes: 30 << 20,

@@ -98,6 +98,15 @@ impl<'a> Cursor<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
+    /// A decoded element count, as a `usize`.
+    fn count(&mut self) -> Result<usize, ServiceError> {
+        usize::try_from(self.u64()?).map_err(|_| overflow())
+    }
+
     fn usize_vec(&mut self, count: usize) -> Result<Vec<usize>, ServiceError> {
         let bytes = self.take(count.checked_mul(8).ok_or_else(overflow)?)?;
         Ok(bytes
@@ -152,9 +161,13 @@ fn read_frame(stream: &mut TcpStream) -> io::Result<Option<Vec<u8>>> {
     Ok(Some(body))
 }
 
+/// Writes the length prefix and the body with one `write_all`: split
+/// writes leave the body waiting on the peer's delayed ACK.
 fn write_frame(stream: &mut TcpStream, body: &[u8]) -> io::Result<()> {
-    stream.write_all(&(body.len() as u32).to_le_bytes())?;
-    stream.write_all(body)?;
+    let mut frame = Vec::with_capacity(4 + body.len());
+    frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
+    frame.extend_from_slice(body);
+    stream.write_all(&frame)?;
     stream.flush()
 }
 
@@ -191,9 +204,11 @@ pub(crate) fn decode_request(body: &[u8]) -> Result<WireRequest, ServiceError> {
         }
     };
     let deadline_ms = c.u32()?;
-    let n = c.u64()? as usize;
-    let nnz = c.u64()? as usize;
-    let colptr = c.usize_vec(n + 1)?;
+    // Every count is checked against the bytes left before anything is
+    // allocated for it (`take` in the `*_vec` readers, below for batches).
+    let n = c.count()?;
+    let nnz = c.count()?;
+    let colptr = c.usize_vec(n.checked_add(1).ok_or_else(overflow)?)?;
     let rowind = c.usize_vec(nnz)?;
     let values = c.f64_vec(nnz)?;
     let matrix = SymCsc::from_parts(n, colptr, rowind, values)
@@ -204,6 +219,15 @@ pub(crate) fn decode_request(body: &[u8]) -> Result<WireRequest, ServiceError> {
         OP_SOLVE => RequestOp::Solve(c.f64_vec(n)?),
         OP_BATCH => {
             let k = c.u32()? as usize;
+            // `nnz * 8` fits: the values above took that many bytes.
+            let set_bytes = nnz * 8;
+            let fits = k.checked_mul(set_bytes).is_some_and(|b| b <= c.remaining());
+            if k > 0 && (set_bytes == 0 || !fits) {
+                return Err(ServiceError::Protocol(format!(
+                    "batch of {k} value sets of {nnz} entries does not fit the {} bytes left",
+                    c.remaining()
+                )));
+            }
             let mut sets = Vec::with_capacity(k);
             for _ in 0..k {
                 sets.push(c.f64_vec(nnz)?);
@@ -640,6 +664,9 @@ impl Client {
             Some(t) => TcpStream::connect_timeout(&addr, t)?,
             None => TcpStream::connect(addr)?,
         };
+        // One request in flight at a time: Nagle would hold each frame
+        // back until the previous reply's ACK arrives.
+        stream.set_nodelay(true)?;
         stream.set_read_timeout(opts.read_timeout)?;
         Ok(Client { stream })
     }
@@ -725,5 +752,74 @@ impl Client {
     /// Asks the server to stop accepting work.
     pub fn shutdown(&mut self) -> io::Result<WireResponse> {
         self.roundtrip(&[OP_SHUTDOWN])
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Request header through `nnz`: op, default method, no deadline.
+    fn header(op: u8, n: u64, nnz: u64) -> Vec<u8> {
+        let mut body = vec![op, 0xFF];
+        put_u32(&mut body, 0);
+        put_u64(&mut body, n);
+        put_u64(&mut body, nnz);
+        body
+    }
+
+    fn protocol_error(body: &[u8]) -> String {
+        match decode_request(body) {
+            Err(ServiceError::Protocol(msg)) => msg,
+            Err(e) => panic!("expected a protocol error, got {e}"),
+            Ok(_) => panic!("hostile frame decoded"),
+        }
+    }
+
+    #[test]
+    fn batch_count_is_bounded_by_the_body() {
+        // n = 0, nnz = 0, colptr = [0], then k = u32::MAX empty value
+        // sets: nothing bounds k but the check.
+        let mut body = header(OP_BATCH, 0, 0);
+        put_u64(&mut body, 0);
+        put_u32(&mut body, u32::MAX);
+        assert!(protocol_error(&body).contains("value sets"));
+
+        // A 1x1 matrix announcing more value sets than the body holds.
+        let mut body = header(OP_BATCH, 1, 1);
+        for v in [0, 1, 0] {
+            put_u64(&mut body, v); // colptr, rowind
+        }
+        put_f64s(&mut body, &[4.0]);
+        put_u32(&mut body, 1 << 30);
+        put_f64s(&mut body, &[4.0, 5.0]);
+        assert!(protocol_error(&body).contains("value sets"));
+    }
+
+    #[test]
+    fn dimension_counts_cannot_overflow() {
+        // n + 1 wraps for n = u64::MAX; (n + 1) * 8 wraps for 2^61.
+        for n in [u64::MAX, 1 << 61, u64::MAX / 8] {
+            protocol_error(&header(OP_FACTOR, n, 0));
+        }
+        // A huge nnz after a valid colptr.
+        let mut body = header(OP_FACTOR, 1, u64::MAX / 4);
+        put_u64(&mut body, 0);
+        put_u64(&mut body, 1);
+        protocol_error(&body);
+    }
+
+    #[test]
+    fn well_formed_batch_still_decodes() {
+        let m = SymCsc::from_parts(1, vec![0, 1], vec![0], vec![4.0]).unwrap();
+        let sets = vec![vec![2.0], vec![9.0]];
+        let body = encode_request(OP_BATCH, &m, None, 0, &[], &sets);
+        match decode_request(&body) {
+            Ok(WireRequest::Op(Request {
+                op: RequestOp::Batch(got),
+                ..
+            })) => assert_eq!(got, sets),
+            _ => panic!("valid batch rejected"),
+        }
     }
 }
