@@ -24,7 +24,8 @@
 //! supernode's own columns and each gather still applies in ascending
 //! source order, so the result is **bit-identical** to the serial
 //! sweeps at any thread count, like the barriered path. The counters
-//! and the stack cost one `O(nsup)` allocation per sweep.
+//! and the stack live in a caller-held [`AsyncScratch`] (part of the
+//! staged layer's `SolveWorkspace`), so a warm sweep allocates nothing.
 //!
 //! **Bit-identity.** A task writes only the solution entries of its own
 //! supernodes' columns — the forward sweep *gathers* descendant
@@ -43,11 +44,33 @@
 //! earlier-level entries, ordered by the `run_for` barrier) are
 //! documented at each access site.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
+
 use rlchol_symbolic::SymbolicFactor;
 
 use crate::storage::FactorData;
 
 use super::plan::SolvePlan;
+
+/// Reusable storage of the asynchronous sweeps: one dependency counter
+/// per supernode and the ready stack. Grows to the largest plan seen and
+/// never shrinks, so once warm a sweep allocates nothing.
+#[derive(Debug, Default)]
+pub struct AsyncScratch {
+    deps: Vec<AtomicUsize>,
+    ready: Vec<usize>,
+}
+
+impl AsyncScratch {
+    /// Storage for plans of up to `nsup` supernodes.
+    pub fn with_capacity(nsup: usize) -> Self {
+        AsyncScratch {
+            deps: (0..nsup).map(|_| AtomicUsize::new(0)).collect(),
+            ready: Vec::with_capacity(nsup),
+        }
+    }
+}
 
 /// A column-major `n × nrhs` right-hand-side block shared across chunk
 /// tasks of one level. All access goes through raw-pointer arithmetic so
@@ -193,6 +216,7 @@ pub fn solve_forward_async(
     b: &mut [f64],
     nrhs: usize,
     threads: usize,
+    scratch: &mut AsyncScratch,
 ) {
     let n = sym.n;
     assert_eq!(b.len(), n * nrhs);
@@ -214,6 +238,7 @@ pub fn solve_forward_async(
         sym,
         plan,
         threads,
+        scratch,
         |s| plan.in_degree(s),
         |s, release| {
             for &p in plan.dependents(s) {
@@ -241,6 +266,7 @@ pub fn solve_backward_async(
     b: &mut [f64],
     nrhs: usize,
     threads: usize,
+    scratch: &mut AsyncScratch,
 ) {
     let n = sym.n;
     assert_eq!(b.len(), n * nrhs);
@@ -260,6 +286,7 @@ pub fn solve_backward_async(
         sym,
         plan,
         threads,
+        scratch,
         |s| plan.out_degree(s),
         |s, release| {
             for seg in plan.incoming(s) {
@@ -277,25 +304,34 @@ pub fn solve_backward_async(
 /// seed the ready stack with zero-degree supernodes, then have up to
 /// `threads` pool workers pop, process, and release until every
 /// supernode retired. Workers spin-yield when the stack is momentarily
-/// empty; the `done` count is the only exit.
+/// empty; the `done` count is the only exit. Counters and stack come
+/// from `scratch`; the stack is reserved for every supernode up front
+/// (each is pushed once), so pushes under the lock never reallocate.
 fn run_async(
     sym: &SymbolicFactor,
     plan: &SolvePlan,
     threads: usize,
+    scratch: &mut AsyncScratch,
     degree: impl Fn(usize) -> usize,
     for_each_dependent: impl Fn(usize, &mut dyn FnMut(usize)) + Sync,
     process: impl Fn(usize) + Sync,
 ) {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
-
     let nsup = sym.nsup();
-    let deps: Vec<AtomicUsize> = (0..nsup).map(|s| AtomicUsize::new(degree(s))).collect();
-    let ready: Mutex<Vec<usize>> = Mutex::new(
-        (0..nsup)
-            .filter(|&s| deps[s].load(Ordering::Relaxed) == 0)
-            .collect(),
-    );
+    if scratch.deps.len() < nsup {
+        scratch.deps.resize_with(nsup, || AtomicUsize::new(0));
+    }
+    let deps = &scratch.deps[..nsup];
+    for (s, d) in deps.iter().enumerate() {
+        d.store(degree(s), Ordering::Relaxed);
+    }
+    scratch.ready.clear();
+    scratch.ready.reserve(nsup);
+    scratch
+        .ready
+        .extend((0..nsup).filter(|&s| deps[s].load(Ordering::Relaxed) == 0));
+    // The seeding above happens before the workers start: `run_for`
+    // publishes it.
+    let ready = Mutex::new(&mut scratch.ready);
     let done = AtomicUsize::new(0);
     let k = threads.min(plan.max_width()).max(1).min(nsup);
     rlchol_dense::pool::global().run_for(k, &|_| loop {
@@ -442,8 +478,25 @@ mod tests {
                 solve_backward_level_set(&sym, &plan, &run.factor, &mut x, nrhs, threads);
                 assert_eq!(x, reference, "threads {threads} nrhs {nrhs}");
                 let mut x = b.clone();
-                solve_forward_async(&sym, &plan, &run.factor, &mut x, nrhs, threads);
-                solve_backward_async(&sym, &plan, &run.factor, &mut x, nrhs, threads);
+                let mut scratch = AsyncScratch::default();
+                solve_forward_async(
+                    &sym,
+                    &plan,
+                    &run.factor,
+                    &mut x,
+                    nrhs,
+                    threads,
+                    &mut scratch,
+                );
+                solve_backward_async(
+                    &sym,
+                    &plan,
+                    &run.factor,
+                    &mut x,
+                    nrhs,
+                    threads,
+                    &mut scratch,
+                );
                 assert_eq!(x, reference, "async threads {threads} nrhs {nrhs}");
             }
         }

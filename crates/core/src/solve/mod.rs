@@ -46,6 +46,7 @@ pub mod serial;
 
 pub use levelset::{
     solve_backward_async, solve_backward_level_set, solve_forward_async, solve_forward_level_set,
+    AsyncScratch,
 };
 pub use plan::SolvePlan;
 pub use serial::{

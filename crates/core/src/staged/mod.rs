@@ -108,6 +108,8 @@ pub struct SolveWorkspace {
     resid: Vec<f64>,
     /// Correction in original ordering (iterative refinement).
     corr: Vec<f64>,
+    /// Dependency counters and ready stack of the asynchronous sweeps.
+    sweep: solve::AsyncScratch,
 }
 
 impl SolveWorkspace {
@@ -124,6 +126,8 @@ impl SolveWorkspace {
             perm: vec![0.0; n * k.max(1)],
             resid: vec![0.0; n],
             corr: vec![0.0; n],
+            // A factor has at most `n` supernodes.
+            sweep: solve::AsyncScratch::with_capacity(n),
         }
     }
 }
@@ -172,12 +176,15 @@ const ANALYZE_PAR_MIN_NNZ: usize = 16_384;
 
 /// Wall-clock breakdown of one symbolic analysis, stage by stage — the
 /// instrumentation behind `rlchol analyze` and the service's cache-miss
-/// metrics. All stages sum to (just under) the analyze wall: `etree`
-/// through `relind` come from [`rlchol_symbolic::analyze_instrumented`];
-/// `solve_plan` and `value_map` are the handle-construction stages added
-/// on top of the symbolic factor.
+/// metrics. All stages sum to (just under) the analyze wall: `ordering`
+/// is the fill-reducing ordering; `etree` through `relind` come from
+/// [`rlchol_symbolic::analyze_instrumented`]; `solve_plan` and
+/// `value_map` are the handle-construction stages added on top of the
+/// symbolic factor.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AnalyzeBreakdown {
+    /// Fill-reducing ordering ([`order`]).
+    pub ordering: std::time::Duration,
     /// Elimination tree + postorder + permutation (serial, fused).
     pub etree: std::time::Duration,
     /// Column counts via row-subtree traversal.
@@ -198,7 +205,13 @@ pub struct AnalyzeBreakdown {
 impl AnalyzeBreakdown {
     /// Sum of all instrumented stages.
     pub fn total(&self) -> std::time::Duration {
-        self.etree + self.colcount + self.merge + self.relind + self.solve_plan + self.value_map
+        self.ordering
+            + self.etree
+            + self.colcount
+            + self.merge
+            + self.relind
+            + self.solve_plan
+            + self.value_map
     }
 }
 
@@ -362,13 +375,16 @@ impl SymbolicCholesky {
                 1
             };
 
+        let t = Instant::now();
         let fill = order(a, opts.ordering);
+        let ordering = t.elapsed();
         let a_fill = a.permute(&fill);
         let (sym, sym_stages) = analyze_instrumented(&a_fill, &opts.symbolic, analyze_lanes);
         let total_perm = sym.perm.compose(&fill);
         let a_fact = a_fill.permute(&sym.perm);
 
         let mut analyze_stages = AnalyzeBreakdown {
+            ordering,
             etree: sym_stages.etree,
             colcount: sym_stages.colcount,
             merge: sym_stages.merge,
@@ -824,11 +840,18 @@ impl SymbolicCholesky {
 
     /// Runs the planned forward + backward sweeps on the factor-ordered
     /// block `bp` (`n × k`, column-major).
-    fn run_sweeps(&self, fact: &Factorization, bp: &mut [f64], k: usize) {
+    fn run_sweeps(
+        &self,
+        fact: &Factorization,
+        bp: &mut [f64],
+        k: usize,
+        sweep: &mut solve::AsyncScratch,
+    ) {
         let (threads, level_set) = self.solve_path();
         if level_set && self.solve_async {
-            solve::solve_forward_async(&self.sym, &self.plan, &fact.data, bp, k, threads);
-            solve::solve_backward_async(&self.sym, &self.plan, &fact.data, bp, k, threads);
+            let (sym, plan, f) = (&self.sym, &self.plan, &fact.data);
+            solve::solve_forward_async(sym, plan, f, bp, k, threads, sweep);
+            solve::solve_backward_async(sym, plan, f, bp, k, threads, sweep);
         } else if level_set {
             solve::solve_forward_level_set(&self.sym, &self.plan, &fact.data, bp, k, threads);
             solve::solve_backward_level_set(&self.sym, &self.plan, &fact.data, bp, k, threads);
@@ -867,17 +890,19 @@ impl SymbolicCholesky {
         x: &mut [f64],
         ws: &mut SolveWorkspace,
     ) -> Result<(), SolveError> {
-        self.solve_perm(fact, b, x, &mut ws.perm)
+        self.solve_perm(fact, b, x, &mut ws.perm, &mut ws.sweep)
     }
 
-    /// Inner single-RHS solve against an explicit permutation scratch
-    /// (lets refinement use the other workspace fields simultaneously).
+    /// Inner single-RHS solve against explicit permutation and sweep
+    /// scratch (lets refinement use the other workspace fields
+    /// simultaneously).
     fn solve_perm(
         &self,
         fact: &Factorization,
         b: &[f64],
         x: &mut [f64],
         scratch: &mut Vec<f64>,
+        sweep: &mut solve::AsyncScratch,
     ) -> Result<(), SolveError> {
         assert!(
             fact.is_valid(),
@@ -895,7 +920,7 @@ impl SymbolicCholesky {
         ensure_len(scratch, n);
         let bp = &mut scratch[..n];
         self.total_perm.apply_into(b, bp);
-        self.run_sweeps(fact, bp, 1);
+        self.run_sweeps(fact, bp, 1, sweep);
         self.total_perm.apply_inv_into(bp, x);
         Ok(())
     }
@@ -937,7 +962,7 @@ impl SymbolicCholesky {
             self.total_perm
                 .apply_into(&b[rhs * n..(rhs + 1) * n], &mut bp[rhs * n..(rhs + 1) * n]);
         }
-        self.run_sweeps(fact, bp, k);
+        self.run_sweeps(fact, bp, k, &mut ws.sweep);
         for rhs in 0..k {
             self.total_perm
                 .apply_inv_into(&bp[rhs * n..(rhs + 1) * n], &mut x[rhs * n..(rhs + 1) * n]);
@@ -969,12 +994,17 @@ impl SymbolicCholesky {
                 found: a.n(),
             });
         }
-        let SolveWorkspace { perm, resid, corr } = ws;
+        let SolveWorkspace {
+            perm,
+            resid,
+            corr,
+            sweep,
+        } = ws;
         ensure_len(resid, n);
         ensure_len(corr, n);
         let resid = &mut resid[..n];
         let corr = &mut corr[..n];
-        self.solve_perm(fact, b, x, perm)?;
+        self.solve_perm(fact, b, x, perm, sweep)?;
         let mut last = f64::INFINITY;
         for iteration in 0..max_iters {
             a.matvec(x, resid);
@@ -993,7 +1023,7 @@ impl SymbolicCholesky {
                 break;
             }
             last = norm;
-            self.solve_perm(fact, resid, corr, perm)
+            self.solve_perm(fact, resid, corr, perm, sweep)
                 .expect("workspace buffers are sized to n");
             for i in 0..n {
                 x[i] += corr[i];

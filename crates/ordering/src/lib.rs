@@ -4,10 +4,15 @@
 //! analysis (§IV-A). This crate provides the from-scratch substitute:
 //!
 //! * [`nested_dissection`] — recursive bisection with BFS level-set
-//!   separators grown from pseudo-peripheral vertices, separator cleanup
-//!   passes, and minimum-degree leaf ordering;
-//! * [`min_degree`] — exact external-degree minimum degree on a quotient
-//!   graph (element absorption keeps lists compact);
+//!   separators grown from pseudo-peripheral vertices and separator
+//!   cleanup passes, recursing in place over the graph's own lists with
+//!   one subproblem label per vertex; leaves and separators are ordered
+//!   by approximate minimum degree;
+//! * [`min_degree`] — approximate minimum degree (Amestoy, Davis & Duff,
+//!   SIMAX 17(4), 1996): a quotient graph in one compacted workspace,
+//!   the approximate external-degree bound, element absorption
+//!   (aggressive included), supervariables by hashing with mass
+//!   elimination, and bucketed degree lists;
 //! * [`rcm`] — reverse Cuthill–McKee, a bandwidth-oriented baseline;
 //! * [`order`] — one-call dispatcher over [`OrderingMethod`].
 //!
@@ -15,13 +20,13 @@
 //! `old_of[new] = old`: position `k` of the returned ordering names the
 //! vertex eliminated `k`-th.
 
-pub mod mindeg;
+pub mod amd;
 pub mod nd;
 pub mod rcm;
 
-pub use mindeg::min_degree;
+pub use amd::min_degree;
 pub use nd::{nested_dissection, NdOptions};
-pub use rcm::{pseudo_peripheral, rcm};
+pub use rcm::rcm;
 
 use rlchol_sparse::{Graph, Permutation, SymCsc};
 
@@ -30,7 +35,7 @@ use rlchol_sparse::{Graph, Permutation, SymCsc};
 pub enum OrderingMethod {
     /// Keep the input ordering.
     Natural,
-    /// Exact minimum degree.
+    /// Approximate minimum degree.
     MinDegree,
     /// Reverse Cuthill–McKee.
     Rcm,

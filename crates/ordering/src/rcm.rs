@@ -2,27 +2,93 @@
 
 use rlchol_sparse::{Graph, Permutation};
 
-/// Finds a pseudo-peripheral vertex of the component containing `start`,
-/// restricted to vertices where `mask` is true (George–Liu iteration:
-/// repeat BFS from the lowest-degree vertex of the deepest level until the
-/// eccentricity stops increasing).
-pub fn pseudo_peripheral(g: &Graph, start: usize, mask: &[bool]) -> usize {
-    let mut root = start;
-    let (mut levels, _) = g.bfs_levels(root, mask);
-    let mut depth = levels.len();
+/// A rooted level structure (breadth-first level sets) over the vertices
+/// of one connected set, reusable across searches: each search resets
+/// only the vertices the previous one reached, so its cost is the size
+/// of the set searched, not of the whole graph.
+pub(crate) struct Levels {
+    /// Vertices in breadth-first order, level by level.
+    order: Vec<usize>,
+    /// `order[starts[l]..starts[l + 1]]` is level `l`.
+    starts: Vec<usize>,
+    /// Level of each reached vertex; `usize::MAX` elsewhere.
+    level_of: Vec<usize>,
+}
+
+impl Levels {
+    pub(crate) fn new(n: usize) -> Self {
+        Levels {
+            order: Vec::new(),
+            starts: Vec::new(),
+            level_of: vec![usize::MAX; n],
+        }
+    }
+
+    /// Breadth-first search from `root` over the vertices `in_set`
+    /// accepts, visiting neighbors in list order.
+    pub(crate) fn build(&mut self, g: &Graph, root: usize, in_set: impl Fn(usize) -> bool) {
+        for &v in &self.order {
+            self.level_of[v] = usize::MAX;
+        }
+        self.order.clear();
+        self.starts.clear();
+        self.order.push(root);
+        self.level_of[root] = 0;
+        let mut head = 0;
+        while head < self.order.len() {
+            let depth = self.starts.len();
+            self.starts.push(head);
+            let end = self.order.len();
+            for k in head..end {
+                for &u in g.neighbors(self.order[k]) {
+                    if self.level_of[u] == usize::MAX && in_set(u) {
+                        self.level_of[u] = depth + 1;
+                        self.order.push(u);
+                    }
+                }
+            }
+            head = end;
+        }
+        self.starts.push(self.order.len());
+    }
+
+    /// Number of levels.
+    pub(crate) fn depth(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    /// The vertices of level `l`.
+    pub(crate) fn level(&self, l: usize) -> &[usize] {
+        &self.order[self.starts[l]..self.starts[l + 1]]
+    }
+
+    /// Level of `v` in the last search; `usize::MAX` if it was not reached.
+    pub(crate) fn level_of(&self, v: usize) -> usize {
+        self.level_of[v]
+    }
+}
+
+/// Finds a pseudo-peripheral vertex of the connected set containing
+/// `start` among the vertices `in_set` accepts (George–Liu iteration:
+/// repeat the search from the lowest-degree vertex of the deepest level,
+/// degrees counted within the set, until the eccentricity stops
+/// increasing). Returns the vertex; `levels` holds its level structure.
+pub(crate) fn pseudo_peripheral(
+    g: &Graph,
+    start: usize,
+    in_set: impl Fn(usize) -> bool + Copy,
+    levels: &mut Levels,
+) -> usize {
+    levels.build(g, start, in_set);
     loop {
-        let last = levels.last().expect("component is nonempty");
-        let candidate = *last
+        let depth = levels.depth();
+        let candidate = *levels
+            .level(depth - 1)
             .iter()
-            .min_by_key(|&&v| (g.degree(v), v))
+            .min_by_key(|&&v| (g.neighbors(v).iter().filter(|&&u| in_set(u)).count(), v))
             .expect("last level nonempty");
-        let (lv, _) = g.bfs_levels(candidate, mask);
-        if lv.len() > depth {
-            depth = lv.len();
-            root = candidate;
-            levels = lv;
-        } else {
-            let _ = root;
+        levels.build(g, candidate, in_set);
+        if levels.depth() <= depth {
             return candidate;
         }
     }
@@ -36,14 +102,14 @@ pub fn pseudo_peripheral(g: &Graph, start: usize, mask: &[bool]) -> usize {
 /// factorization).
 pub fn rcm(g: &Graph) -> Permutation {
     let n = g.n();
-    let mask = vec![true; n];
+    let mut levels = Levels::new(n);
     let mut visited = vec![false; n];
     let mut order: Vec<usize> = Vec::with_capacity(n);
     for s in 0..n {
         if visited[s] {
             continue;
         }
-        let root = pseudo_peripheral(g, s, &mask);
+        let root = pseudo_peripheral(g, s, |_| true, &mut levels);
         // BFS with degree-sorted neighbor expansion.
         let mut queue = std::collections::VecDeque::new();
         visited[root] = true;
@@ -74,9 +140,34 @@ mod tests {
     #[test]
     fn path_endpoints_are_peripheral() {
         let g = Graph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4)]);
-        let mask = vec![true; 5];
-        let p = pseudo_peripheral(&g, 2, &mask);
+        let mut levels = Levels::new(5);
+        let p = pseudo_peripheral(&g, 2, |_| true, &mut levels);
         assert!(p == 0 || p == 4);
+    }
+
+    #[test]
+    fn levels_from_endpoint() {
+        let g = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
+        let mut levels = Levels::new(4);
+        levels.build(&g, 0, |_| true);
+        assert_eq!(levels.depth(), 4);
+        assert_eq!(
+            (0..4).map(|v| levels.level_of(v)).collect::<Vec<_>>(),
+            [0, 1, 2, 3]
+        );
+        // A second search resets only what the first one reached.
+        levels.build(&g, 3, |_| true);
+        assert_eq!(levels.level(0), [3]);
+        assert_eq!(levels.level_of(0), 3);
+    }
+
+    #[test]
+    fn levels_respect_the_set() {
+        let g = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
+        let mut levels = Levels::new(4);
+        levels.build(&g, 0, |v| v != 1);
+        assert_eq!(levels.depth(), 1);
+        assert_eq!(levels.level_of(2), usize::MAX);
     }
 
     #[test]

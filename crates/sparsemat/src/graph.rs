@@ -128,85 +128,6 @@ impl Graph {
     pub fn has_edge(&self, u: usize, v: usize) -> bool {
         self.neighbors(u).binary_search(&v).is_ok()
     }
-
-    /// The subgraph induced by `vertices`, plus the mapping
-    /// `local -> global` (which equals the sorted, deduplicated input).
-    pub fn induced_subgraph(&self, vertices: &[usize]) -> (Graph, Vec<usize>) {
-        let mut globals: Vec<usize> = vertices.to_vec();
-        globals.sort_unstable();
-        globals.dedup();
-        let mut local_of = vec![usize::MAX; self.n()];
-        for (local, &g) in globals.iter().enumerate() {
-            local_of[g] = local;
-        }
-        let mut edges = Vec::new();
-        for (lu, &gu) in globals.iter().enumerate() {
-            for &gv in self.neighbors(gu) {
-                let lv = local_of[gv];
-                if lv != usize::MAX && lu < lv {
-                    edges.push((lu, lv));
-                }
-            }
-        }
-        (Graph::from_edges(globals.len(), &edges), globals)
-    }
-
-    /// Connected components, as a vector of vertex lists.
-    pub fn connected_components(&self) -> Vec<Vec<usize>> {
-        let n = self.n();
-        let mut comp = vec![usize::MAX; n];
-        let mut comps: Vec<Vec<usize>> = Vec::new();
-        let mut stack = Vec::new();
-        for s in 0..n {
-            if comp[s] != usize::MAX {
-                continue;
-            }
-            let id = comps.len();
-            let mut members = Vec::new();
-            comp[s] = id;
-            stack.push(s);
-            while let Some(v) = stack.pop() {
-                members.push(v);
-                for &u in self.neighbors(v) {
-                    if comp[u] == usize::MAX {
-                        comp[u] = id;
-                        stack.push(u);
-                    }
-                }
-            }
-            members.sort_unstable();
-            comps.push(members);
-        }
-        comps
-    }
-
-    /// Breadth-first level sets from `root` restricted to vertices where
-    /// `mask[v]` is true. Returns `(levels, level_of)` where `level_of[v]`
-    /// is `usize::MAX` for unreached vertices.
-    pub fn bfs_levels(&self, root: usize, mask: &[bool]) -> (Vec<Vec<usize>>, Vec<usize>) {
-        let n = self.n();
-        let mut level_of = vec![usize::MAX; n];
-        let mut levels: Vec<Vec<usize>> = Vec::new();
-        if !mask[root] {
-            return (levels, level_of);
-        }
-        let mut frontier = vec![root];
-        level_of[root] = 0;
-        while !frontier.is_empty() {
-            let mut next = Vec::new();
-            for &v in &frontier {
-                for &u in self.neighbors(v) {
-                    if mask[u] && level_of[u] == usize::MAX {
-                        level_of[u] = levels.len() + 1;
-                        next.push(u);
-                    }
-                }
-            }
-            levels.push(frontier);
-            frontier = next;
-        }
-        (levels, level_of)
-    }
 }
 
 #[cfg(test)]
@@ -238,43 +159,5 @@ mod tests {
         assert_eq!(g.degree(1), 2);
         assert!(g.has_edge(2, 3));
         assert!(!g.has_edge(0, 3));
-    }
-
-    #[test]
-    fn induced_subgraph_keeps_internal_edges() {
-        let g = path4();
-        let (s, globals) = g.induced_subgraph(&[1, 2, 3]);
-        assert_eq!(globals, vec![1, 2, 3]);
-        assert_eq!(s.num_edges(), 2);
-        assert!(s.has_edge(0, 1)); // 1-2
-        assert!(s.has_edge(1, 2)); // 2-3
-    }
-
-    #[test]
-    fn connected_components_partition() {
-        let g = Graph::from_edges(5, &[(0, 1), (3, 4)]);
-        let comps = g.connected_components();
-        assert_eq!(comps.len(), 3);
-        assert_eq!(comps[0], vec![0, 1]);
-        assert_eq!(comps[1], vec![2]);
-        assert_eq!(comps[2], vec![3, 4]);
-    }
-
-    #[test]
-    fn bfs_levels_from_endpoint() {
-        let g = path4();
-        let mask = vec![true; 4];
-        let (levels, level_of) = g.bfs_levels(0, &mask);
-        assert_eq!(levels.len(), 4);
-        assert_eq!(level_of, vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn bfs_respects_mask() {
-        let g = path4();
-        let mask = vec![true, false, true, true];
-        let (levels, level_of) = g.bfs_levels(0, &mask);
-        assert_eq!(levels.len(), 1);
-        assert_eq!(level_of[2], usize::MAX);
     }
 }

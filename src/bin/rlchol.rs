@@ -265,7 +265,12 @@ fn main() {
                 println!("{obj}");
                 return;
             }
-            println!("ordering: {:?}", args.ordering);
+            let ms = |d: Duration| d.as_secs_f64() * 1e3;
+            println!(
+                "ordering: {:?} ({:.1} ms)",
+                args.ordering,
+                ms(stages.ordering)
+            );
             println!("supernodes: {}", sym.nsup());
             println!("nnz(L): {}", sym.nnz);
             println!("factor flops: {:.3} Gflop", sym.flops / 1e9);
@@ -290,7 +295,6 @@ fn main() {
                 handle.lane_memory_bytes() as f64 / (1 << 20) as f64,
                 handle.factor_lanes()
             );
-            let ms = |d: Duration| d.as_secs_f64() * 1e3;
             println!(
                 "stage breakdown ({} analyze thread(s)): etree {:.1} ms, \
                  colcount {:.1} ms, merge {:.1} ms, relind {:.1} ms, \
